@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cliques.listing import enumerate_cliques, s_counts_per_r_clique
+from ..cliques.listing import list_cliques, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
 
@@ -60,13 +60,12 @@ def and_decomposition(
     und = build_csr(edges)
     rank = make_rank(und, "degeneracy")
     dg = orient_csr(und, rank)
-    d = s_counts_per_r_clique(dg, r, s)
-    r_keys = sorted(d.keys())
-    index = {k: i for i, k in enumerate(r_keys)}
-    n_r = len(r_keys)
-    tau = np.array([int(round(d[k])) for k in r_keys], dtype=np.int64)
+    vmat, cnts = s_counts_per_r_clique(dg, r, s)
+    index = {tuple(row): i for i, row in enumerate(vmat.tolist())}
+    n_r = len(vmat)
+    tau = np.rint(cnts).astype(np.int64)
 
-    s_mat = enumerate_cliques(dg, s)
+    s_mat = np.sort(list_cliques(dg, s), axis=1)
     n_sub = len(list(combinations(range(s), r)))
     members = np.empty((len(s_mat), n_sub), dtype=np.int64)
     for i, row in enumerate(s_mat):

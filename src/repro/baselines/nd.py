@@ -27,16 +27,17 @@ from ..instrument import Counters
 __all__ = ["nd_decomposition", "pnd_decomposition"]
 
 
-def _sequential_peel(edges: np.ndarray, r: int, s: int, *, orientation: str = "degeneracy"):
+def nd_decomposition(edges: np.ndarray, r: int, s: int):
+    """Serial ND: returns (core_dict, counters); counters.rounds is #peels."""
     t0 = time.perf_counter()
     und = build_csr(edges)
-    rank = make_rank(und, orientation)
+    rank = make_rank(und, "degeneracy")
     dg = orient_csr(und, rank)
     counters = Counters()
     stats = Stats()
-    d = s_counts_per_r_clique(dg, r, s, stats=stats)
-    counters.work += stats.intersect_work + stats.base_work
-    counts = {k: int(round(v)) for k, v in d.items()}
+    vmat, cnts = s_counts_per_r_clique(dg, r, s, stats=stats)
+    counters.work += stats.intersect_work + stats.cliques_found
+    counts = {tuple(row): int(round(c)) for row, c in zip(vmat.tolist(), cnts.tolist())}
     heap = [(c, k) for k, c in counts.items()]
     heapq.heapify(heap)
     peeled: set[tuple[int, ...]] = set()
@@ -53,41 +54,27 @@ def _sequential_peel(edges: np.ndarray, r: int, s: int, *, orientation: str = "d
         counters.rounds += 1  # one r-clique per round: no intra-bucket parallelism
         counters.span_logs += log2n
         upd = Stats()
-        found: list[np.ndarray] = []
+        found = np.empty((0, s), dtype=np.int64)
         if counts[R] > 0:
-
-            def f(C: tuple[int, ...], batch: np.ndarray, R=R) -> None:
-                blk = np.empty((len(batch), s), dtype=np.int64)
-                blk[:, :r] = R
-                if C:
-                    blk[:, r : s - 1] = np.asarray(C, dtype=np.int64)
-                blk[:, s - 1] = batch
-                found.append(blk)
-
-            extend_cliques(und, dg, np.array(R), s - r, f, stats=upd)
+            found = extend_cliques(und, dg, np.array([R]), s - r, stats=upd)
         counters.scliques_discovered += upd.cliques_found
-        counters.work += upd.intersect_work + upd.base_work
-        for blk in found:
-            blk.sort(axis=1)
-            for row in blk:
-                subsets = [tuple(t) for t in combinations(row.tolist(), r)]
-                if any(sub in peeled and sub != R for sub in subsets):
-                    continue  # s-clique already destroyed by an earlier peel
-                for sub in subsets:
-                    if sub == R or sub in peeled:
-                        continue
-                    counts[sub] -= 1
-                    heapq.heappush(heap, (counts[sub], sub))
-                    counters.work += 1
+        counters.work += upd.intersect_work + upd.cliques_found
+        for row in found:
+            subsets = [tuple(t) for t in combinations(row.tolist(), r)]
+            if any(sub in peeled and sub != R for sub in subsets):
+                continue  # s-clique already destroyed by an earlier peel
+            for sub in subsets:
+                if sub == R or sub in peeled:
+                    continue
+                counts[sub] -= 1
+                heapq.heappush(heap, (counts[sub], sub))
+                counters.work += 1
     counters.wall_seconds = time.perf_counter() - t0
     return core, counters
 
 
-def nd_decomposition(edges: np.ndarray, r: int, s: int):
-    """Serial ND: returns (core_dict, counters); counters.rounds is #peels."""
-    return _sequential_peel(edges, r, s)
-
-
-def pnd_decomposition(edges: np.ndarray, r: int, s: int):
-    """PND: same peel order/results; rounds dominate its parallel span."""
-    return _sequential_peel(edges, r, s)
+pnd_decomposition = nd_decomposition
+"""PND: the same computation as ND. PND parallelizes the work inside one
+peel, but it still peels one r-clique per synchronized round, so its
+rounds, peel order and core numbers are exactly ND's; its rounds are what
+dominate its parallel span."""

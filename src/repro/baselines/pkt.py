@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cliques.listing import enumerate_cliques
+from ..cliques.listing import list_cliques
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import degree_order
 
@@ -33,7 +33,7 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
     und = build_csr(edges)
     n = und.n
     dg = orient_csr(und, degree_order(und))
-    tri = enumerate_cliques(dg, 3)  # rows sorted asc
+    tri = np.sort(list_cliques(dg, 3), axis=1)
 
     # Canonical edge ids via sorted packed keys.
     src = np.repeat(np.arange(n, dtype=np.int64), und.degrees())

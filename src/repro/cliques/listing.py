@@ -1,131 +1,78 @@
-"""REC-LIST-CLIQUES (Algorithm 1) and the counting kernels built on it.
+"""REC-LIST-CLIQUES (Algorithm 1), one level at a time, and the counting
+and UPDATE kernels built on it.
 
-The recursion grows a clique C by intersecting the candidate set I with
-the directed (O(alpha)-oriented) neighbourhood of each candidate, so
-each c-clique is discovered exactly once, in DG order. At the base level
-the whole candidate batch is handed to the callback at once, which lets
-the counting kernels update C(s-1, r) subset counters with one
-vectorized delta instead of per-clique Python work.
+Algorithm 1 grows a clique by intersecting its candidate set with the
+directed (O(alpha)-oriented) neighbourhood of each new vertex, so each
+c-clique is found exactly once, in DG order. Here a whole frontier of
+partial cliques grows together: the (rows, k) matrix is expanded by the
+out-neighbours of each row's last vertex, and a candidate is kept only if
+it is adjacent to every earlier vertex of its row, tested by binary
+search on the graph's sorted packed arc keys (``CSR.arc_keys``). That is
+Algorithm 1's intersect-then-keep step, applied to every partial clique
+of a level at once instead of to one vertex at a time.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]; ``Stats`` counts
 the operations that the work-span cost model (instrument.py) consumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 from ..graphs.csr import CSR
 
-__all__ = [
-    "Stats",
-    "list_cliques",
-    "count_cliques",
-    "enumerate_cliques",
-    "s_counts_per_r_clique",
-    "extend_cliques",
-    "intersect_neighborhoods",
-]
+__all__ = ["Stats", "list_cliques", "s_counts_per_r_clique", "extend_cliques"]
 
 
 @dataclass
 class Stats:
     """Operation counters feeding the work-span cost model."""
 
-    intersect_work: int = 0  # total elements touched by intersections
-    cliques_found: int = 0  # c-cliques emitted at the base level
-    base_work: int = 0  # per-clique base-level operations
-    levels: int = 0
-
-    def merge(self, other: "Stats") -> None:
-        self.intersect_work += other.intersect_work
-        self.cliques_found += other.cliques_found
-        self.base_work += other.base_work
-        self.levels = max(self.levels, other.levels)
+    intersect_work: int = 0  # candidates probed for adjacency
+    cliques_found: int = 0  # cliques returned
 
 
-def _rec(
-    dg: CSR,
-    I: np.ndarray,
-    rl: int,
-    C: tuple[int, ...],
-    f: Callable[[tuple[int, ...], np.ndarray], None],
-    stats: Stats,
-) -> None:
-    if rl == 1:
-        stats.cliques_found += len(I)
-        stats.base_work += len(I)
-        if len(I):
-            f(C, I)
-        return
-    for v in I:
-        nb = dg.neighbors(int(v))
-        stats.intersect_work += min(len(I), len(nb)) + 1
-        I2 = np.intersect1d(I, nb, assume_unique=True)
-        if len(I2) >= rl - 1:
-            _rec(dg, I2, rl - 1, C + (int(v),), f, stats)
+def _grow(rows: np.ndarray, expand: CSR, adj: CSR, stats: Stats) -> np.ndarray:
+    """Every one-vertex extension of the (q, k) frontier ``rows``.
+
+    Candidates are the ``expand``-neighbours of each row's last vertex; a
+    candidate w is kept if ``adj`` has an arc from each other vertex of
+    the row to w. Returns the (q', k + 1) matrix of kept extensions.
+    """
+    starts = expand.offsets[rows[:, -1]]
+    deg = expand.offsets[rows[:, -1] + 1] - starts
+    parent = np.repeat(np.arange(len(rows)), deg)
+    cand = expand.nbrs[np.arange(len(parent)) + np.repeat(starts - np.cumsum(deg) + deg, deg)]
+    stats.intersect_work += len(cand)
+    keys = adj.arc_keys
+    for j in range(rows.shape[1] - 1):
+        key = rows[parent, j] * adj.n + cand
+        hit = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
+        parent, cand = parent[hit], cand[hit]
+    return np.column_stack((rows[parent], cand))
 
 
 def list_cliques(
     dg: CSR,
     c: int,
-    f: Callable[[tuple[int, ...], np.ndarray], None],
     *,
     roots: np.ndarray | None = None,
     stats: Stats | None = None,
-) -> Stats:
-    """Apply ``f(prefix, last_batch)`` to every c-clique of the oriented graph.
+) -> np.ndarray:
+    """Every c-clique of the oriented graph as an (n_c, c) matrix.
 
-    Each clique is ``prefix + (v,)`` for v in ``last_batch``; vertices
-    appear in DG order. ``roots`` restricts the first level to a subset
-    of vertices (the Spark fan-out unit).
+    Each row lists its vertices in DG order. ``roots`` restricts the
+    first vertex to a subset (the Spark fan-out unit).
     """
-    stats = stats if stats is not None else Stats()
-    stats.levels = max(stats.levels, c)
-    if c < 1:
-        return stats
-    root_iter = roots if roots is not None else np.arange(dg.n)
-    if c == 1:
-        arr = np.asarray(root_iter)
-        stats.cliques_found += len(arr)
-        f((), arr)
-        return stats
-    for v in root_iter:
-        _rec(dg, dg.neighbors(int(v)), c - 1, (int(v),), f, stats)
-    return stats
-
-
-def count_cliques(dg: CSR, c: int, *, roots: np.ndarray | None = None) -> int:
-    """Total number of c-cliques."""
-    total = 0
-
-    def f(C: tuple[int, ...], batch: np.ndarray) -> None:
-        nonlocal total
-        total += len(batch)
-
-    list_cliques(dg, c, f, roots=roots)
-    return total
-
-
-def enumerate_cliques(dg: CSR, c: int) -> np.ndarray:
-    """All c-cliques as an (n_c, c) matrix with sorted vertex rows."""
-    rows: list[np.ndarray] = []
-
-    def f(C: tuple[int, ...], batch: np.ndarray) -> None:
-        block = np.empty((len(batch), c), dtype=np.int64)
-        block[:, :-1] = C
-        block[:, -1] = batch
-        rows.append(block)
-
-    list_cliques(dg, c, f)
-    if not rows:
-        return np.empty((0, c), dtype=np.int64)
-    out = np.concatenate(rows)
-    out.sort(axis=1)
-    return out
+    stats = stats or Stats()
+    first = np.arange(dg.n) if roots is None else np.asarray(roots, dtype=np.int64)
+    rows = first.reshape(-1, 1)
+    for _ in range(c - 1):
+        rows = _grow(rows, dg, dg, stats)
+    stats.cliques_found += len(rows)
+    return rows
 
 
 def s_counts_per_r_clique(
@@ -135,58 +82,28 @@ def s_counts_per_r_clique(
     *,
     roots: np.ndarray | None = None,
     stats: Stats | None = None,
-) -> dict[tuple[int, ...], float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """s-clique count of every r-clique (COUNT-FUNC of Algorithm 2).
 
-    Includes r-cliques with zero incident s-cliques (they form the
-    0-bucket). Keys are sorted vertex tuples. For each discovered
-    s-clique prefix C plus base batch I, the C(s-1, r) subsets of C each
-    gain len(I) and the C(s-1, r-1) subsets gain 1 per base vertex —
-    the vectorized form of "add 1 to every size-r subset".
+    Returns (vmat, counts): the lexicographically sorted (n_r, r) matrix
+    of sorted r-clique rows and the aligned float counts. r-cliques with
+    no incident s-clique are included (they form the 0-bucket). With a
+    restricted root set (the Spark fan-out), an s-clique rooted here may
+    contain r-cliques rooted in other partitions; those rows appear with
+    partial counts that are summed downstream (groupBy().sum()).
     """
-    counts: dict[tuple[int, ...], float] = {}
-
-    def init_r(C: tuple[int, ...], batch: np.ndarray) -> None:
-        for v in batch:
-            counts[tuple(sorted(C + (int(v),)))] = 0.0
-
-    list_cliques(dg, r, init_r, roots=roots, stats=stats)
-
-    # With a restricted root set (the Spark fan-out), an s-clique rooted
-    # here may contain r-cliques rooted in *other* partitions, so counts
-    # must not assume the zero-init above covered every touched key —
-    # partial counts are merged downstream (groupBy().sum()).
-    def on_s(C: tuple[int, ...], batch: np.ndarray) -> None:
-        k = len(batch)
-        for sub in combinations(C, r):
-            key = tuple(sorted(sub))
-            counts[key] = counts.get(key, 0.0) + k
-        for sub in combinations(C, r - 1):
-            base = tuple(sorted(sub))
-            for v in batch:
-                key = tuple(sorted(base + (int(v),)))
-                counts[key] = counts.get(key, 0.0) + 1.0
-
-    list_cliques(dg, s, on_s, roots=roots, stats=stats)
-    return counts
-
-
-def intersect_neighborhoods(und: CSR, R: np.ndarray, stats: Stats | None = None) -> np.ndarray:
-    """Intersection of the *undirected* neighbourhoods of the vertices of R
-    (Algorithm 2 line 16), starting from the minimum-degree vertex so the
-    work is O(min_i deg(v_i)) — the quantity bounded by Lemma 4.1."""
-    order = sorted(R, key=lambda v: und.degree(int(v)))
-    I = und.neighbors(int(order[0]))
-    if stats is not None:
-        stats.intersect_work += len(I)
-    for v in order[1:]:
-        nb = und.neighbors(int(v))
-        if stats is not None:
-            stats.intersect_work += min(len(I), len(nb)) + 1
-        I = np.intersect1d(I, nb, assume_unique=True)
-        if len(I) == 0:
-            break
-    return I
+    r_mat = np.sort(list_cliques(dg, r, roots=roots, stats=stats), axis=1)
+    s_mat = np.sort(list_cliques(dg, s, roots=roots, stats=stats), axis=1)
+    subsets = s_mat[:, list(combinations(range(s), r))].reshape(-1, r)
+    # Group equal rows by a column-wise lexsort: packing r vertex ids into
+    # one integer overflows int64 once n^r > 2^63.
+    rows = np.concatenate((r_mat, subsets))
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    counts = np.bincount(np.cumsum(first) - 1, weights=order >= len(r_mat))
+    return rows[first], counts
 
 
 def extend_cliques(
@@ -194,19 +111,26 @@ def extend_cliques(
     dg: CSR,
     R: np.ndarray,
     need: int,
-    f: Callable[[tuple[int, ...], np.ndarray], None],
     *,
     stats: Stats | None = None,
-) -> None:
-    """List every s-clique containing r-clique R, where need = s - r
-    (UPDATE, Algorithm 2 lines 15-17). ``f`` receives the extra vertices
-    only: prefix of extras plus a base batch."""
-    stats = stats if stats is not None else Stats()
-    I = intersect_neighborhoods(und, R, stats)
-    if len(I) < need:
-        return
-    if need == 1:
-        stats.cliques_found += len(I)
-        f((), I)
-        return
-    _rec(dg, I, need, (), f, stats)
+) -> np.ndarray:
+    """Every s-clique containing a row of the (q, r) matrix R, where
+    need = s - r (UPDATE, Algorithm 2 lines 13-18).
+
+    Each row starts from its minimum-degree member in ``und``, so the
+    first level probes O(min_i deg(v_i)) candidates, the bound of Lemma
+    4.1; the other extra vertices follow DG order. An s-clique is listed
+    once for each row of R it contains. Returns the (k, s) matrix of
+    s-cliques with sorted rows.
+    """
+    stats = stats or Stats()
+    R = np.asarray(R, dtype=np.int64)
+    rows = R.copy()
+    i = np.arange(len(R))
+    lo = np.argmin(und.degrees()[R], axis=1)
+    rows[i, lo], rows[i, -1] = R[i, -1], R[i, lo]
+    rows = _grow(rows, und, und, stats)
+    for _ in range(need - 1):
+        rows = _grow(rows, dg, und, stats)
+    stats.cliques_found += len(rows)
+    return np.sort(rows, axis=1)

@@ -37,29 +37,24 @@ def spark_s_counts(
     ``s_counts_per_r_clique`` (tested equal).
     """
     bc = spark.sparkContext.broadcast((dg.n, dg.offsets, dg.nbrs))
+    vcols = [f"v{i}" for i in range(r)]
     schema = StructType(
-        [StructField(f"v{i}", LongType()) for i in range(r)]
+        [StructField(c, LongType()) for c in vcols]
         + [StructField("cnt", DoubleType())]
     )
 
     def count_partition(batches):
         n_, offsets, nbrs = bc.value
         csr = CSR(n_, offsets, nbrs)
-        acc: dict[tuple[int, ...], float] = {}
         for pdf in batches:
-            roots = pdf["v"].to_numpy()
-            for key, c in s_counts_per_r_clique(csr, r, s, roots=roots).items():
-                acc[key] = acc.get(key, 0.0) + c
-        if acc:
-            vm = np.array(list(acc.keys()), dtype=np.int64)
-            out = pd.DataFrame({f"v{i}": vm[:, i] for i in range(r)})
-            out["cnt"] = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
+            vmat, cnts = s_counts_per_r_clique(csr, r, s, roots=pdf["v"].to_numpy())
+            out = pd.DataFrame(vmat, columns=vcols)
+            out["cnt"] = cnts
             yield out
 
     roots_df = spark.createDataFrame(
         pd.DataFrame({"v": np.arange(dg.n, dtype=np.int64)})
     ).repartition(min(n_slices, max(1, dg.n)))
-    vcols = [f"v{i}" for i in range(r)]
     agg = (
         roots_df.mapInPandas(count_partition, schema)
         .groupBy(vcols)

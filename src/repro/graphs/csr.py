@@ -8,6 +8,7 @@ as the parallel hash-table intersection used in the analysis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,13 @@ class CSR:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @cached_property
+    def arc_keys(self) -> np.ndarray:
+        """Packed arc keys u*n + v in ascending order (rows are grouped by u
+        and sorted by v), so testing an arc is one binary search."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        return src * self.n + self.nbrs
 
 
 def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:

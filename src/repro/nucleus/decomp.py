@@ -16,8 +16,9 @@ Phases:
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
-than the algorithm (see DESIGN.md §2); Spark parallelizes the dominant
-counting phase and all graph preparation.
+than the algorithm (see DESIGN.md §2); Spark parallelizes only the
+dominant counting phase. Graph preparation (CSR, orientation, relabeling)
+is numpy on the driver.
 """
 from __future__ import annotations
 
@@ -52,6 +53,10 @@ class DecompConfig:
     spark_slices: int = 64
     num_open_buckets: int = 16
 
+    def __post_init__(self) -> None:
+        if self.counting not in ("local", "spark"):
+            raise ValueError(f"DecompConfig.counting must be 'local' or 'spark', got {self.counting!r}")
+
 
 @dataclass
 class DecompResult:
@@ -79,8 +84,17 @@ def nucleus_decomposition(
 ) -> DecompResult:
     """Compute the (r, s) nucleus decomposition of an undirected edge list."""
     if not (1 <= r < s):
-        raise ValueError("need 1 <= r < s")
+        raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
     config = config or DecompConfig()
+    if config.counting == "spark" and spark is None:
+        raise ValueError("DecompConfig.counting='spark' needs a SparkSession: pass spark=")
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be an (m, 2) array, got shape {edges.shape}")
+    if not np.issubdtype(edges.dtype, np.integer):
+        raise ValueError(f"edges must hold integer vertex ids, got dtype {edges.dtype}")
+    if len(edges) and edges.min() < 0:
+        raise ValueError(f"edges must hold non-negative vertex ids, got {int(edges.min())}")
     t_start = time.perf_counter()
     counters = Counters()
 
@@ -101,14 +115,8 @@ def nucleus_decomposition(
 
         vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=config.spark_slices)
     else:
-        d = s_counts_per_r_clique(dg, r, s, stats=count_stats)
-        if d:
-            vmat = np.array(sorted(d.keys()), dtype=np.int64)
-            cnts = np.array([d[tuple(row)] for row in vmat], dtype=np.float64)
-        else:
-            vmat = np.empty((0, r), dtype=np.int64)
-            cnts = np.empty(0, dtype=np.float64)
-    counters.work += count_stats.intersect_work + count_stats.base_work
+        vmat, cnts = s_counts_per_r_clique(dg, r, s, stats=count_stats)
+    counters.work += count_stats.intersect_work + count_stats.cliques_found
     counters.span_logs += s * log2(max(2, n_verts))
     n_r = len(vmat)
 
@@ -150,26 +158,15 @@ def nucleus_decomposition(
 
         A_rows = table.decode(A)
         update_stats = Stats()
-        s_parts: list[np.ndarray] = []
-        if s - r >= 1 and k > 0:
-            for row in A_rows:
-
-                def on_sclique(C: tuple[int, ...], batch: np.ndarray, row=row) -> None:
-                    blk = np.empty((len(batch), s), dtype=np.int64)
-                    blk[:, :r] = row
-                    if C:
-                        blk[:, r : s - 1] = np.asarray(C, dtype=np.int64)
-                    blk[:, s - 1] = batch
-                    s_parts.append(blk)
-
-                extend_cliques(und_cur, dg, row, s - r, on_sclique, stats=update_stats)
+        if k > 0:
+            s_mat = extend_cliques(und_cur, dg, A_rows, s - r, stats=update_stats)
+        else:
+            s_mat = np.empty((0, s), dtype=np.int64)
         counters.scliques_discovered += update_stats.cliques_found
-        counters.work += update_stats.intersect_work + update_stats.base_work
+        counters.work += update_stats.intersect_work + update_stats.cliques_found
         counters.span_logs += (s - r) * log2n
 
-        if s_parts:
-            s_mat = np.concatenate(s_parts)
-            s_mat.sort(axis=1)
+        if len(s_mat):
             if not config.frac_updates:
                 s_mat = np.unique(s_mat, axis=0)
             flat = s_mat[:, subs_cols].reshape(-1, r)

@@ -3,7 +3,7 @@ configuration of §5.1-5.3, plus the space model."""
 import numpy as np
 import pytest
 
-from repro.cliques.listing import enumerate_cliques
+from repro.cliques.listing import list_cliques
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import degree_order
 from repro.tables.clique_table import CliqueTable, TableConfig, make_table, min_levels
@@ -16,7 +16,7 @@ ALL = {**SMALL_GRAPHS, **MEDIUM_GRAPHS}
 def cliques_of(name: str, r: int) -> tuple[np.ndarray, int]:
     und = build_csr(ALL[name])
     dg = orient_csr(und, degree_order(und))
-    return enumerate_cliques(dg, r), und.n
+    return np.sort(list_cliques(dg, r), axis=1), und.n
 
 
 CONFIGS = [

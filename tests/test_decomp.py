@@ -130,6 +130,22 @@ def test_invalid_rs():
         nucleus_decomposition(SMALL_GRAPHS["k4"], 3, 3)
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: DecompConfig(counting="sprak"), "counting.*'sprak'"),
+        (lambda: run("k4", 2, 3, counting="spark"), "counting='spark'.*spark="),
+        (lambda: nucleus_decomposition(np.array([(0, 1), (-1, 2)]), 2, 3), "non-negative.*-1"),
+        (lambda: nucleus_decomposition(np.array([0, 1, 2]), 2, 3), r"edges.*\(3,\)"),
+        (lambda: nucleus_decomposition(np.array([(0.0, 1.0)]), 2, 3), "edges.*float64"),
+    ],
+    ids=["counting-typo", "spark-without-session", "negative-id", "1-d-edges", "float-edges"],
+)
+def test_bad_input_fails_fast(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_counters_populated():
     res = run("comm", 3, 4)
     c = res.counters

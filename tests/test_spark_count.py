@@ -1,6 +1,7 @@
-"""Spark counting fan-out == local kernel; Spark-counted decomposition
-matches the reference."""
+"""Spark counting fan-out == local kernel and a DuckDB self-join;
+Spark-counted decomposition matches the reference."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.cliques.listing import s_counts_per_r_clique
@@ -10,6 +11,7 @@ from repro.graphs.gen import rmat
 from repro.graphs.orient import make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
+from repro.oracle import assert_equivalent
 
 from .fixtures import FIG1_EDGES, SMALL_GRAPHS
 
@@ -23,17 +25,37 @@ def _dg(edges):
 def test_spark_counts_match_local_fig1(spark, r, s):
     _, dg = _dg(FIG1_EDGES)
     vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=4)
-    local = s_counts_per_r_clique(dg, r, s)
-    got = {tuple(row): c for row, c in zip(vmat.tolist(), cnts.tolist())}
-    assert got == {k: float(v) for k, v in local.items()}
+    local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
+    assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
 
 
 def test_spark_counts_match_local_rmat(spark):
     _, dg = _dg(rmat(8, 900, seed=23))
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
-    local = s_counts_per_r_clique(dg, 2, 3)
-    got = {tuple(row): c for row, c in zip(vmat.tolist(), cnts.tolist())}
-    assert got == {k: float(v) for k, v in local.items()}
+    local_vmat, local_cnts = s_counts_per_r_clique(dg, 2, 3)
+    assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+
+
+def test_spark_triangle_counts_vs_duckdb_oracle(spark):
+    """Per-edge triangle counts from the Spark fan-out equal a DuckDB
+    self-join over the symmetric arc list."""
+    und, dg = _dg(rmat(8, 900, seed=23))
+    vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
+    got = spark.createDataFrame(pd.DataFrame({"u": vmat[:, 0], "v": vmat[:, 1], "cnt": cnts.astype(np.int64)}))
+    src = np.repeat(np.arange(und.n), und.degrees())
+    arcs = pd.DataFrame({"u": src, "v": und.nbrs})
+    assert_equivalent(
+        got,
+        """
+        SELECT e.u, e.v, count(x.v) AS cnt
+        FROM arcs e
+        LEFT JOIN arcs w ON w.u = e.u
+        LEFT JOIN arcs x ON x.u = e.v AND x.v = w.v
+        WHERE e.u < e.v
+        GROUP BY e.u, e.v
+        """,
+        arcs=arcs,
+    )
 
 
 @pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3)])
