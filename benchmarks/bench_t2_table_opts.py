@@ -1,5 +1,25 @@
 """Table T2 (paper Figs 8, 9, 10): speed and space of T configurations."""
-from repro.experiments import save_table, table_t_optimizations
+import numpy as np
+
+from repro.experiments import T_CONFIGS, save_table, table_t_optimizations
+from repro.graphs.gen import surrogate
+from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
+
+CONTIG, NONCONTIG = "2-level contig binsearch", "2-level noncontig binsearch"
+
+
+def median_walls(name: str) -> dict[str, float]:
+    """Median (3,4) ``nucleus_decomposition`` wall time of the contiguous
+    and the non-contiguous two-level T, over 3 rounds that alternate the
+    two so machine drift hits both alike."""
+    tcfgs = dict(T_CONFIGS)
+    walls: dict[str, list[float]] = {CONTIG: [], NONCONTIG: []}
+    edges = surrogate(name)
+    for _ in range(3):
+        for label, w in walls.items():
+            cfg = DecompConfig(table=tcfgs[label], aggregation="array")
+            w.append(nucleus_decomposition(edges, 3, 4, cfg).counters.wall_seconds)
+    return {label: float(np.median(w)) for label, w in walls.items()}
 
 
 def test_t2a_table_opts_34(once):
@@ -13,12 +33,11 @@ def test_t2a_table_opts_34(once):
     multi = rich[rich["config"] != "1-level (unopt)"]
     assert (multi["space_saving_vs_1level"] > 1.0).all()
     assert multi["space_saving_vs_1level"].max() > 1.4
-    # §5.2: the non-contiguous layout loses to the contiguous one.
-    noncontig = df[df["config"] == "2-level noncontig binsearch"].set_index("graph")
-    contig = df[df["config"] == "2-level contig binsearch"].set_index("graph")
-    assert (
-        noncontig["wall_s"] > contig.loc[noncontig.index, "wall_s"]
-    ).mean() >= 0.6, "contiguous layout should usually win"
+    # §5.2: the non-contiguous layout loses to the contiguous one, judged
+    # on medians of repeated runs rather than the table's single shots.
+    medians = [median_walls(name) for name in df["graph"].unique()]
+    wins = [m[NONCONTIG] > m[CONTIG] for m in medians]
+    assert np.mean(wins) >= 0.6, f"contiguous layout should usually win: {medians}"
 
 
 def test_t2b_table_opts_45(once):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_aggregator", "SimpleArrayU", "ListBufferU", "HashTableU"]
+__all__ = ["make_aggregator", "AGGREGATIONS", "SimpleArrayU", "ListBufferU", "HashTableU"]
 
 
 class _BaseU:
@@ -98,11 +98,11 @@ class HashTableU(_BaseU):
         return out
 
 
+_KINDS = {"array": SimpleArrayU, "list-buffer": ListBufferU, "hash": HashTableU}
+AGGREGATIONS = tuple(_KINDS)
+
+
 def make_aggregator(kind: str, capacity: int) -> _BaseU:
-    if kind == "array":
-        return SimpleArrayU(capacity)
-    if kind == "list-buffer":
-        return ListBufferU(capacity)
-    if kind == "hash":
-        return HashTableU(capacity)
-    raise ValueError(f"unknown aggregation kind: {kind}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown aggregation kind {kind!r}; expected one of {AGGREGATIONS}")
+    return _KINDS[kind](capacity)

@@ -25,6 +25,7 @@ __all__ = [
     "degeneracy_order",
     "goodrich_pszona_order",
     "make_rank",
+    "ORIENTATIONS",
     "relabel",
     "degeneracy",
 ]
@@ -96,15 +97,19 @@ def goodrich_pszona_order(csr: CSR, *, eps: float = 1.0) -> np.ndarray:
     return rank
 
 
+_RANKS = {
+    "degree": degree_order,
+    "degeneracy": lambda csr: degeneracy_order(csr)[0],
+    "goodrich-pszona": goodrich_pszona_order,
+}
+ORIENTATIONS = tuple(_RANKS)
+
+
 def make_rank(csr: CSR, kind: str = "degeneracy") -> np.ndarray:
-    """Factory over the three orderings."""
-    if kind == "degree":
-        return degree_order(csr)
-    if kind == "degeneracy":
-        return degeneracy_order(csr)[0]
-    if kind == "goodrich-pszona":
-        return goodrich_pszona_order(csr)
-    raise ValueError(f"unknown orientation kind: {kind}")
+    """Factory over the three orderings named in ``ORIENTATIONS``."""
+    if kind not in _RANKS:
+        raise ValueError(f"unknown orientation kind {kind!r}; expected one of {ORIENTATIONS}")
+    return _RANKS[kind](csr)
 
 
 def degeneracy(csr: CSR) -> int:

@@ -29,11 +29,11 @@ from math import comb, log2
 
 import numpy as np
 
-from ..aggregation import make_aggregator
+from ..aggregation import AGGREGATIONS, make_aggregator
 from ..bucketing import Bucketing
 from ..cliques.listing import Stats, extend_cliques, s_counts_per_r_clique
 from ..graphs.csr import CSR, build_csr, orient_csr
-from ..graphs.orient import make_rank, relabel
+from ..graphs.orient import ORIENTATIONS, make_rank, relabel
 from ..instrument import Counters
 from ..tables.clique_table import CliqueTable, TableConfig, make_table
 from .contract import ContractionState, maybe_contract
@@ -48,7 +48,6 @@ class DecompConfig:
     relabel: bool = False  # §5.4 graph relabeling
     aggregation: str = "list-buffer"  # §5.5: 'array' | 'list-buffer' | 'hash'
     contraction: bool = False  # §5.6, (2,3) only
-    frac_updates: bool = True  # 1/a trick (True) vs exact per-round dedup
     counting: str = "local"  # 'local' | 'spark'
     spark_slices: int = 64
     num_open_buckets: int = 16
@@ -56,6 +55,14 @@ class DecompConfig:
     def __post_init__(self) -> None:
         if self.counting not in ("local", "spark"):
             raise ValueError(f"DecompConfig.counting must be 'local' or 'spark', got {self.counting!r}")
+        if self.orientation not in ORIENTATIONS:
+            raise ValueError(
+                f"DecompConfig.orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
+            )
+        if self.aggregation not in AGGREGATIONS:
+            raise ValueError(
+                f"DecompConfig.aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
+            )
 
 
 @dataclass
@@ -167,8 +174,6 @@ def nucleus_decomposition(
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):
-            if not config.frac_updates:
-                s_mat = np.unique(s_mat, axis=0)
             flat = s_mat[:, subs_cols].reshape(-1, r)
             idxs = table.lookup(flat).reshape(len(s_mat), len(subs_cols))
             st = peeled[idxs]
@@ -179,11 +184,7 @@ def nucleus_decomposition(
             a = in_a.sum(axis=1)
             rows_i, cols_i = np.nonzero(unpeeled)
             tgt = idxs[rows_i, cols_i]
-            if config.frac_updates:
-                deltas = 1.0 / np.maximum(a[rows_i], 1)
-            else:
-                deltas = np.ones(len(tgt), dtype=np.float64)
-            np.subtract.at(counts, tgt, deltas)
+            np.subtract.at(counts, tgt, 1.0 / np.maximum(a[rows_i], 1))
             if len(tgt):
                 agg.record(tgt)
             counters.work += idxs.size

@@ -13,9 +13,12 @@ Supports every configuration evaluated in §6.2:
   cells) vs separately allocated per-region arrays (§5.2).
 * ``decode='pointer'`` — inverse index map by scanning right to an
   empty/barrier cell holding an up-pointer (§5.3, contiguous only);
-  ``decode='binsearch'`` — binary search over per-level prefix sums.
+  ``decode='binsearch'`` — binary search over per-level region starts.
 
-An r-clique's identifier everywhere else in the algorithm (bucketing,
+Every hash level is a ``_Level``: one region (hash table) per distinct
+prefix of the columns before it, keyed by its own columns. An array
+first level maps v1 straight to a region of the next level. An
+r-clique's identifier everywhere else in the algorithm (bucketing,
 counts, core numbers) is its absolute cell position in the last level,
 exactly as in §5.3.
 """
@@ -26,9 +29,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .open_addr import EMPTY_BIT, PAYLOAD_MASK, capacity_for, region_find, region_insert
-from .packing import bits_for, fits, pack, unpack
+from .packing import fits, pack, unpack
 
 __all__ = ["TableConfig", "CliqueTable", "make_table", "min_levels"]
+
+FIRST_LEVELS = ("array", "hash")
+DECODES = ("pointer", "binsearch")
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,23 @@ class TableConfig:
     contiguous: bool = True
     decode: str = "pointer"  # 'pointer' | 'binsearch'
     load: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.levels < 1:
+            raise ValueError(f"TableConfig.levels must be >= 1, got {self.levels!r}")
+        if self.first_level not in FIRST_LEVELS:
+            raise ValueError(
+                f"TableConfig.first_level must be one of {FIRST_LEVELS}, got {self.first_level!r}"
+            )
+        if self.decode not in DECODES:
+            raise ValueError(f"TableConfig.decode must be one of {DECODES}, got {self.decode!r}")
+        if not 0 < self.load <= 1:
+            raise ValueError(f"TableConfig.load must be in (0, 1], got {self.load!r}")
+        if self.decode == "pointer" and not self.contiguous:
+            raise ValueError(
+                "TableConfig.decode='pointer' scans the cells and needs contiguous=True, "
+                f"got contiguous={self.contiguous!r}"
+            )
 
     def label(self) -> str:
         if self.levels == 1:
@@ -54,20 +77,58 @@ def min_levels(n: int, r: int) -> int:
     raise ValueError(f"no level count fits r={r}, n={n}")
 
 
-class _InterLevel:
-    """One intermediate level: single-vertex keys pointing at next-level regions."""
+class _Level:
+    """One level of T: open-addressing regions laid end to end, each
+    followed by a barrier cell; empty and barrier cells hold the region's
+    up-pointer (its parent's cell one level up, or v1 under an array
+    first level). Non-contiguous, the regions are copied into separately
+    allocated blocks (§5.2) addressed by the same absolute positions.
 
-    __slots__ = ("cells", "vals", "starts", "caps", "parent_abs", "bounds")
+    ``key_pos`` is the cell of each inserted key, in input order;
+    ``child`` maps a cell to its region one level down (non-last levels).
+    """
 
-    def __init__(self, n_regions: int, counts: np.ndarray, load: float):
-        self.caps = np.array([capacity_for(int(c), load) for c in counts], dtype=np.int64)
-        sizes = self.caps + 1  # +1 barrier cell per region
-        self.starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-        total = int((self.caps + 1).sum())
-        self.cells = np.full(total, EMPTY_BIT, dtype=np.uint64)
-        self.vals = np.full(total, -1, dtype=np.int64)
-        self.parent_abs = np.full(n_regions, -1, dtype=np.int64)
-        self.bounds = self.starts  # sorted region starts, for binary search
+    __slots__ = ("starts", "caps", "parent", "size", "key_pos", "cells", "blocks", "child")
+
+    def __init__(self, region_of, keys, parent, load: float, contiguous: bool):
+        self.caps = capacity_for(np.bincount(region_of, minlength=len(parent)), load)
+        sizes = self.caps + 1
+        self.starts = np.cumsum(sizes) - sizes
+        self.parent = parent
+        cells = np.repeat(EMPTY_BIT | np.maximum(parent, 0).astype(np.uint64), sizes)
+        self.key_pos = region_insert(cells, self.starts[region_of], self.caps[region_of], keys)
+        self.size = len(cells)
+        self.cells = cells if contiguous else None
+        self.blocks = None if contiguous else [
+            cells[s : s + c + 1].copy() for s, c in zip(self.starts.tolist(), self.caps.tolist())
+        ]
+        self.child = None
+
+    def region_at(self, pos: np.ndarray) -> np.ndarray:
+        """Region of each absolute cell position."""
+        return np.searchsorted(self.starts, pos, side="right") - 1
+
+    def find(self, regs: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Cell of each key in its region; -1 if absent or ``regs`` < 0."""
+        if self.cells is not None:
+            safe = np.maximum(regs, 0)
+            return region_find(self.cells, np.where(regs >= 0, self.starts[safe], -1), self.caps[safe], keys)
+        out = np.full(len(keys), -1, dtype=np.int64)
+        idx = np.flatnonzero(regs >= 0)
+        for rid, sel in _groups(regs[idx]):
+            sel = idx[sel]
+            pos = region_find(self.blocks[rid], 0, self.caps[rid], keys[sel])
+            out[sel] = np.where(pos >= 0, pos + self.starts[rid], -1)
+        return out
+
+    def values(self, pos: np.ndarray) -> np.ndarray:
+        """Cell contents at absolute positions."""
+        if self.cells is not None:
+            return self.cells[pos]
+        out = np.empty(len(pos), dtype=np.uint64)
+        for rid, sel in _groups(self.region_at(pos)):
+            out[sel] = self.blocks[rid][pos[sel] - self.starts[rid]]
+        return out
 
 
 class CliqueTable:
@@ -82,8 +143,6 @@ class CliqueTable:
         self.r = int(vmat.shape[1]) if vmat.size else (vmat.shape[1] or 1)
         if config.levels > self.r:  # the paper requires l <= r
             config = replace(config, levels=self.r)
-        if config.levels < 1:
-            raise ValueError("levels must be >= 1")
         self.config = config
         self.suffix_w = self.r - config.levels + 1
         if not fits(n, self.suffix_w):
@@ -91,141 +150,44 @@ class CliqueTable:
                 f"last-level key of {self.suffix_w} vertices does not fit for n={n}; "
                 f"need levels >= {min_levels(n, self.r)}"
             )
-        if config.decode == "pointer" and not config.contiguous:
-            raise ValueError("stored-pointer decode requires contiguous last level")
         self.n_cliques = int(len(vmat))
         order = np.lexsort(tuple(vmat[:, j] for j in range(self.r - 1, -1, -1)))
         self._build(vmat[order], order)
 
     # ------------------------------------------------------------------ build
     def _build(self, vmat: np.ndarray, order: np.ndarray) -> None:
+        """Level (c, w) stores each distinct (c+w)-prefix of the sorted
+        rows under its columns c..c+w-1, in the region of its c-prefix;
+        the width-0 prefix is one region."""
         cfg = self.config
         L = cfg.levels
-        n_r = len(vmat)
-        self.inter: list[_InterLevel] = []
-        self.fl_array: np.ndarray | None = None
-
-        if L == 1:
-            cap = capacity_for(n_r, cfg.load)
-            self.last_caps = np.array([cap], dtype=np.int64)
-            self.last_starts = np.array([0], dtype=np.int64)
-            self.last_parent_abs = np.array([-1], dtype=np.int64)
-            self._alloc_last()
-            keys = pack(vmat, self.n) if n_r else np.empty(0, dtype=np.uint64)
-            row_region = np.zeros(n_r, dtype=np.int64)
-            self._insert_last(row_region, keys, order)
-            return
-
-        # Distinct prefixes per length j = 1..L-1 (lexicographically sorted).
-        prefixes: list[np.ndarray] = []
-        for j in range(1, L):
-            uj = np.unique(vmat[:, :j], axis=0) if n_r else np.empty((0, j), dtype=np.int64)
-            prefixes.append(uj)
-
-        # Level 1.
-        inter_cols = []
-        if cfg.first_level == "array":
-            self.fl_array = np.full(self.n, -1, dtype=np.int64)
-            k1 = len(prefixes[0])
-            self.fl_array[prefixes[0][:, 0]] = np.arange(k1)
-            # parent of a level-2 region under an array first level is v1 itself
-            next_parent = prefixes[0][:, 0].copy()
-            inter_cols = list(range(1, L - 1))
+        array_first = L >= 2 and cfg.first_level == "array"
+        self.spans = [(c, 1) for c in range(int(array_first), L - 1)] + [(L - 1, self.suffix_w)]
+        new_c = _new_prefix(vmat, self.spans[0][0])
+        self.first = None
+        if array_first:
+            heads = vmat[new_c, 0]
+            self.first = np.full(self.n, -1, dtype=np.int64)
+            self.first[heads] = np.arange(len(heads))
+            parent = heads  # a level-2 region's up-pointer is v1 itself
         else:
-            inter_cols = list(range(0, L - 1))
-            next_parent = None  # set by the hash level below
-
-        # Intermediate single-vertex hash levels.
-        for col in inter_cols:
-            if col == 0:
-                n_regions = 1
-                region_of_entry = np.zeros(len(prefixes[0]), dtype=np.int64)
-                entries = prefixes[0][:, 0]
-            else:
-                # regions keyed by col-length prefixes; entries are (col+1)-prefixes
-                region_of_entry = _prefix_inverse(prefixes[col], col)
-                entries = prefixes[col][:, col]
-                n_regions = len(prefixes[col - 1])
-            counts = np.bincount(region_of_entry, minlength=n_regions)
-            lvl = _InterLevel(n_regions, counts, cfg.load)
-            if next_parent is not None:
-                lvl.parent_abs[:] = next_parent
-            # fill empty payloads with the region's up-pointer
-            for rid in range(n_regions):
-                s, c = lvl.starts[rid], lvl.caps[rid]
-                lvl.cells[s : s + c + 1] = EMPTY_BIT | np.uint64(
-                    lvl.parent_abs[rid] if lvl.parent_abs[rid] >= 0 else 0
-                )
-            entry_abs = np.empty(len(entries), dtype=np.int64)
-            boundaries = np.concatenate(
-                [[0], np.cumsum(np.bincount(region_of_entry, minlength=n_regions))]
-            )
-            for rid in range(n_regions):
-                lo, hi = boundaries[rid], boundaries[rid + 1]
-                if lo == hi:
-                    continue
-                keys = entries[lo:hi].astype(np.uint64)
-                pos = region_insert(lvl.cells, int(lvl.starts[rid]), int(lvl.caps[rid]), keys)
-                lvl.vals[pos] = np.arange(lo, hi)
-                entry_abs[lo:hi] = pos
-            self.inter.append(lvl)
-            next_parent = entry_abs  # parents for the next level's regions
-
-        # Last level: one region per (L-1)-prefix.
-        row_region = _prefix_inverse(vmat, L - 1) if n_r else np.empty(0, dtype=np.int64)
-        n_regions = len(prefixes[L - 2]) if n_r else 0
-        counts = np.bincount(row_region, minlength=n_regions)
-        self.last_caps = np.array(
-            [capacity_for(int(c), cfg.load) for c in counts], dtype=np.int64
-        )
-        sizes = self.last_caps + 1
-        self.last_starts = np.concatenate([[0], np.cumsum(sizes)])[:-1].astype(np.int64)
-        self.last_parent_abs = (
-            next_parent.astype(np.int64) if next_parent is not None else np.empty(0, np.int64)
-        )
-        self._alloc_last()
-        suffix_keys = (
-            pack(vmat[:, L - 1 :], self.n) if n_r else np.empty(0, dtype=np.uint64)
-        )
-        self._insert_last(row_region, suffix_keys, order)
-
-    def _alloc_last(self) -> None:
-        total = int((self.last_caps + 1).sum()) if len(self.last_caps) else 0
-        self.capacity = total
-        if self.config.contiguous:
-            self.last_cells = np.full(total, EMPTY_BIT, dtype=np.uint64)
-            for rid in range(len(self.last_caps)):
-                parent = self.last_parent_abs[rid] if len(self.last_parent_abs) else -1
-                s, c = self.last_starts[rid], self.last_caps[rid]
-                self.last_cells[s : s + c + 1] = EMPTY_BIT | np.uint64(max(0, parent))
-        else:
-            self.last_blocks: list[np.ndarray] = []
-            for rid in range(len(self.last_caps)):
-                parent = self.last_parent_abs[rid] if len(self.last_parent_abs) else -1
-                blk = np.full(
-                    int(self.last_caps[rid]) + 1,
-                    EMPTY_BIT | np.uint64(max(0, parent)),
-                    dtype=np.uint64,
-                )
-                self.last_blocks.append(blk)
-
-    def _insert_last(self, row_region: np.ndarray, keys: np.ndarray, order: np.ndarray) -> None:
-        """Insert sorted rows region-by-region; record index per *original* row."""
-        self._row_index = np.full(len(keys), -1, dtype=np.int64)
-        n_regions = len(self.last_caps)
-        boundaries = np.concatenate([[0], np.cumsum(np.bincount(row_region, minlength=n_regions))])
-        for rid in range(n_regions):
-            lo, hi = int(boundaries[rid]), int(boundaries[rid + 1])
-            if lo == hi:
-                continue
-            if self.config.contiguous:
-                pos = region_insert(
-                    self.last_cells, int(self.last_starts[rid]), int(self.last_caps[rid]), keys[lo:hi]
-                )
-            else:
-                pos = region_insert(self.last_blocks[rid], 0, int(self.last_caps[rid]), keys[lo:hi])
-                pos += self.last_starts[rid]
-            self._row_index[order[lo:hi]] = pos
+            parent = np.array([-1], dtype=np.int64)
+        self.levels: list[_Level] = []
+        for c, w in self.spans:
+            new_e = _new_prefix(vmat, c + w)
+            entries = np.flatnonzero(new_e)
+            region_of = (np.cumsum(new_c) - 1)[entries]
+            keys = pack(vmat[entries, c : c + w], self.n)
+            last = c + w == self.r  # §5.2's layout choice is the last level's
+            lvl = _Level(region_of, keys, parent, cfg.load, cfg.contiguous or not last)
+            if not last:
+                lvl.child = np.full(lvl.size, -1, dtype=np.int64)
+                lvl.child[lvl.key_pos] = np.arange(len(entries))
+            self.levels.append(lvl)
+            parent, new_c = lvl.key_pos, new_e
+        self._row_index = np.empty(len(vmat), dtype=np.int64)
+        self._row_index[order] = parent
+        self.capacity = self.levels[-1].size
 
     # ------------------------------------------------------------------ query
     def row_indices(self) -> np.ndarray:
@@ -234,146 +196,72 @@ class CliqueTable:
 
     def occupied_indices(self) -> np.ndarray:
         """Sorted cell indices of all stored r-cliques."""
-        if self.config.contiguous or self.config.levels == 1:
-            return np.flatnonzero((self.last_cells & EMPTY_BIT) == 0)
-        parts = []
-        for rid, blk in enumerate(self.last_blocks):
-            local = np.flatnonzero((blk & EMPTY_BIT) == 0)
-            parts.append(local + self.last_starts[rid])
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def _cell_values(self, idx: np.ndarray) -> np.ndarray:
-        if self.config.contiguous or self.config.levels == 1:
-            return self.last_cells[idx]
-        rid = np.searchsorted(self.last_starts, idx, side="right") - 1
-        out = np.empty(len(idx), dtype=np.uint64)
-        for i, (r_, p_) in enumerate(zip(rid, idx)):
-            out[i] = self.last_blocks[r_][p_ - self.last_starts[r_]]
-        return out
+        last = self.levels[-1]
+        return np.flatnonzero((last.values(np.arange(last.size)) & EMPTY_BIT) == 0)
 
     def lookup(self, vmat: np.ndarray) -> np.ndarray:
-        """Cell index of each query r-clique (rows sorted asc); -1 if absent."""
+        """Cell index of each query r-clique (rows sorted asc); -1 if absent.
+        One walk down: each level maps (region, key) to a cell, and the
+        cell to its region one level down."""
         vmat = np.atleast_2d(np.asarray(vmat, dtype=np.int64))
-        k = len(vmat)
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        L = self.config.levels
-        if L == 1:
-            keys = pack(vmat, self.n)
-            return region_find(
-                self.last_cells,
-                np.zeros(k, dtype=np.int64),
-                np.full(k, self.last_caps[0]),
-                keys,
-            )
-        if self.config.first_level == "array":
-            regs = self.fl_array[vmat[:, 0]]
-            col = 1
+        if self.first is not None:
+            regs = self.first[vmat[:, 0]]
         else:
-            regs = None
-            col = 0
-        for lvl in self.inter:
-            if regs is None:
-                starts = np.zeros(k, dtype=np.int64)
-                caps = np.full(k, lvl.caps[0])
-            else:
-                ok = regs >= 0
-                starts = np.where(ok, lvl.starts[np.clip(regs, 0, None)], -1)
-                caps = lvl.caps[np.clip(regs, 0, None)]
-            pos = region_find(lvl.cells, starts, caps, vmat[:, col].astype(np.uint64))
-            regs = np.where(pos >= 0, lvl.vals[np.clip(pos, 0, None)], -1)
-            col += 1
-        keys = pack(vmat[:, L - 1 :], self.n)
-        ok = regs >= 0
-        safe = np.clip(regs, 0, None)
-        starts = np.where(ok, self.last_starts[safe], -1)
-        caps = self.last_caps[safe]
-        if self.config.contiguous:
-            return region_find(self.last_cells, starts, caps, keys)
-        out = np.full(k, -1, dtype=np.int64)
-        for rid in np.unique(safe[ok]):
-            sel = np.flatnonzero(ok & (regs == rid))
-            pos = region_find(
-                self.last_blocks[rid],
-                np.zeros(len(sel), dtype=np.int64),
-                np.full(len(sel), self.last_caps[rid]),
-                keys[sel],
-            )
-            out[sel] = np.where(pos >= 0, pos + self.last_starts[rid], -1)
-        return out
+            regs = np.zeros(len(vmat), dtype=np.int64)
+        for lvl, (c, w) in zip(self.levels, self.spans):
+            pos = lvl.find(regs, pack(vmat[:, c : c + w], self.n))
+            if lvl.child is not None:
+                regs = np.where(pos >= 0, lvl.child[pos], -1)
+        return pos
 
     # ----------------------------------------------------------------- decode
     def decode(self, idx: np.ndarray) -> np.ndarray:
-        """Inverse index map: cell indices -> (k, r) sorted vertex matrix."""
-        idx = np.asarray(idx, dtype=np.int64)
-        L = self.config.levels
-        out = np.empty((len(idx), self.r), dtype=np.int64)
-        vals = self._cell_values(idx)
-        out[:, L - 1 :] = unpack(vals, self.n, self.suffix_w)
-        if L == 1:
-            return out
-        if self.config.decode == "binsearch":
-            rid = np.searchsorted(self.last_starts, idx, side="right") - 1
-            self._decode_binsearch_prefix(rid, out)
-        else:
-            self._decode_pointer_prefix(idx, out)
+        """Inverse index map: cell indices -> (k, r) sorted vertex matrix.
+        One walk up: read a level's columns from the cell, then step to
+        the parent cell — by scanning right to the region's up-pointer
+        (pointer) or by binary search over region starts (binsearch)."""
+        cur = np.asarray(idx, dtype=np.int64)
+        out = np.empty((len(cur), self.r), dtype=np.int64)
+        for lvl, (c, w) in zip(reversed(self.levels), reversed(self.spans)):
+            out[:, c : c + w] = unpack(lvl.values(cur), self.n, w)
+            if c == 0:
+                return out
+            if self.config.decode == "pointer":
+                cur = _scan_up(lvl.cells, cur)
+            else:
+                cur = lvl.parent[lvl.region_at(cur)]
+        out[:, 0] = cur  # array first level: the last up-pointer is v1
         return out
-
-    def _decode_binsearch_prefix(self, rid: np.ndarray, out: np.ndarray) -> None:
-        """Walk the parent chain; each hop is a binary search over region starts."""
-        L = self.config.levels
-        cur = self.last_parent_abs[rid]
-        for t in range(len(self.inter) - 1, -1, -1):
-            lvl = self.inter[t]
-            col = t if self.config.first_level == "hash" else t + 1
-            out[:, col] = (lvl.cells[cur] & PAYLOAD_MASK).astype(np.int64)
-            prid = np.searchsorted(lvl.bounds, cur, side="right") - 1
-            cur = lvl.parent_abs[prid]
-        if self.config.first_level == "array":
-            out[:, 0] = cur  # parent of a level-2 region is v1 itself
-
-    def _decode_pointer_prefix(self, idx: np.ndarray, out: np.ndarray) -> None:
-        """Scan right to an empty/barrier cell; its payload is the up-pointer."""
-        cur = _scan_up(self.last_cells, idx)
-        for t in range(len(self.inter) - 1, -1, -1):
-            lvl = self.inter[t]
-            col = t if self.config.first_level == "hash" else t + 1
-            out[:, col] = (lvl.cells[cur] & PAYLOAD_MASK).astype(np.int64)
-            cur = _scan_up(lvl.cells, cur)
-        if self.config.first_level == "array":
-            out[:, 0] = cur
 
     # ------------------------------------------------------------------ space
     def memory_units(self) -> int:
         """Units per the paper's model (Figs 3-4): one per stored vertex,
         one per pointer (array slots count as pointers)."""
-        if self.config.levels == 1:
-            return self.n_cliques * self.r
         units = self.n_cliques * self.suffix_w
-        if self.config.first_level == "array":
+        if self.first is not None:
             units += self.n
-        for lvl in self.inter:
-            occupied = int(((lvl.cells & EMPTY_BIT) == 0).sum())
-            units += occupied * 2  # vertex + pointer per entry
-        return units
+        return units + sum(2 * len(lvl.key_pos) for lvl in self.levels[:-1])
 
     def allocated_cells(self) -> int:
         """Actually allocated cells, including empties and barriers."""
-        total = self.capacity
-        for lvl in self.inter:
-            total += len(lvl.cells)
-        if self.fl_array is not None:
-            total += self.n
-        return total
+        total = sum(lvl.size for lvl in self.levels)
+        return total + (self.n if self.first is not None else 0)
 
 
-def _prefix_inverse(mat: np.ndarray, j: int) -> np.ndarray:
-    """Region id (index into sorted distinct j-prefixes) of each sorted row."""
-    if len(mat) == 0:
-        return np.empty(0, dtype=np.int64)
-    prefix = mat[:, :j]
-    changed = np.any(prefix[1:] != prefix[:-1], axis=1)
-    return np.concatenate([[0], np.cumsum(changed)]).astype(np.int64)
+def _new_prefix(mat: np.ndarray, j: int) -> np.ndarray:
+    """Whether each sorted row starts a new distinct j-prefix (j = 0: only
+    the first row)."""
+    new = np.ones(len(mat), dtype=bool)
+    new[1:] = np.any(mat[1:, :j] != mat[:-1, :j], axis=1)
+    return new
+
+
+def _groups(rid: np.ndarray):
+    """Yield (region, indices into ``rid``) for each distinct region."""
+    idx = np.argsort(rid, kind="stable")
+    for sel in np.split(idx, np.flatnonzero(np.diff(rid[idx])) + 1):
+        if len(sel):
+            yield int(rid[sel[0]]), sel
 
 
 def _scan_up(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ Empty cells carry ``EMPTY_BIT`` plus an up-pointer payload. Probing is
 modulo ``cap`` (the barrier is never probed), and every region keeps at
 least one empty probe-able cell, so searches terminate.
 
-``region_find`` resolves many (region, key) queries at once with a
-mask-driven probe loop — the batch analogue of the paper's concurrent
-hash table lookups.
+``region_insert`` and ``region_find`` take one (start, cap) pair per key
+(or one pair broadcast to every key) and probe all pending keys at once
+with a mask-driven loop — the batch analogue of the paper's concurrent
+hash table inserts and lookups.
 """
 from __future__ import annotations
 
@@ -33,42 +34,57 @@ def hash_u64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def capacity_for(count: int, load: float = 0.5) -> int:
-    """Probe-able capacity guaranteeing >= 1 empty cell (load < 1)."""
-    return max(2, int(np.ceil(count / load)) + 1)
+def capacity_for(count, load: float = 0.5):
+    """Probe-able capacity per key count (scalar or array), guaranteeing
+    >= 1 empty cell for 0 < load <= 1."""
+    return np.maximum(2, np.ceil(np.asarray(count) / load).astype(np.int64) + 1)
 
 
-def region_insert(cells: np.ndarray, start: int, cap: int, keys: np.ndarray) -> np.ndarray:
-    """Insert distinct keys into one region; returns absolute cell positions."""
-    pos_out = np.empty(len(keys), dtype=np.int64)
-    offs = (hash_u64(keys) % np.uint64(cap)).astype(np.int64)
-    for i, key in enumerate(keys):
-        p = offs[i]
-        while not (cells[start + p] & EMPTY_BIT):
-            p = (p + 1) % cap
-        cells[start + p] = key
-        pos_out[i] = start + p
-    return pos_out
+def _broadcast(starts, caps, k: int) -> tuple[np.ndarray, np.ndarray]:
+    starts = np.broadcast_to(np.asarray(starts, dtype=np.int64), (k,))
+    caps = np.broadcast_to(np.asarray(caps, dtype=np.int64), (k,))
+    return starts, caps
 
 
-def region_find(
-    cells: np.ndarray,
-    starts: np.ndarray,
-    caps: np.ndarray,
-    keys: np.ndarray,
-) -> np.ndarray:
+def region_insert(cells: np.ndarray, starts, caps, keys: np.ndarray) -> np.ndarray:
+    """Insert keys, each into its region; returns absolute cell positions.
+
+    Keys must be distinct within a region and no region may receive more
+    keys than it has empty cells. When several keys reach the same empty
+    cell in one step, the lowest-indexed key claims it and the others
+    probe on, so positions depend only on the input.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    k = len(keys)
+    starts, caps = _broadcast(starts, caps, k)
+    out = np.empty(k, dtype=np.int64)
+    offs = (hash_u64(keys) % caps.astype(np.uint64)).astype(np.int64)
+    pending = np.arange(k)
+    while len(pending):
+        pos = starts[pending] + offs[pending]
+        free = np.flatnonzero(cells[pos] & EMPTY_BIT)
+        # pending is ascending, so the first occurrence is the lowest key
+        cell, first = np.unique(pos[free], return_index=True)
+        won = free[first]
+        cells[cell] = keys[pending[won]]
+        out[pending[won]] = cell
+        pending = np.delete(pending, won)
+        offs[pending] = (offs[pending] + 1) % caps[pending]
+    return out
+
+
+def region_find(cells: np.ndarray, starts, caps, keys: np.ndarray) -> np.ndarray:
     """Batch lookup: absolute cell position per (region, key), -1 if absent.
 
-    ``starts``/``caps``/``keys`` are parallel arrays; entries with
-    ``starts < 0`` are treated as not-found immediately.
+    ``starts``/``caps`` are per-key arrays or scalars broadcast to every
+    key; entries with ``starts < 0`` are treated as not-found immediately.
     """
+    keys = np.asarray(keys, dtype=np.uint64)
     k = len(keys)
     out = np.full(k, -1, dtype=np.int64)
     if k == 0:
         return out
-    starts = np.asarray(starts, dtype=np.int64)
-    caps = np.asarray(caps, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.uint64)
+    starts, caps = _broadcast(starts, caps, k)
     active = starts >= 0
     pos = np.zeros(k, dtype=np.int64)
     idx0 = np.flatnonzero(active)

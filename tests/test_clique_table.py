@@ -124,6 +124,22 @@ def test_pointer_requires_contiguous():
         CliqueTable(vmat, n, TableConfig(levels=2, contiguous=False, decode="pointer"))
 
 
+@pytest.mark.parametrize(
+    "kw,match",
+    [
+        ({"levels": 0}, "levels.*0"),
+        ({"first_level": "hsh"}, "first_level.*'hsh'"),
+        ({"decode": "ptr"}, "decode.*'ptr'"),
+        ({"load": 2.0}, "load.*2.0"),
+        ({"load": 0.0}, "load.*0.0"),
+    ],
+    ids=["levels-0", "first-level-typo", "decode-typo", "load-over-1", "load-0"],
+)
+def test_bad_config_fails_fast(kw, match):
+    with pytest.raises(ValueError, match=match):
+        TableConfig(**kw)
+
+
 def test_min_levels_and_factory_auto_raise():
     n = 1 << 16  # 16 bits/vertex: 63 // 16 = 3 vertices max per key
     assert min_levels(n, 3) == 1

@@ -89,13 +89,6 @@ def test_contraction_actually_contracts():
     assert res.contractions >= 1
 
 
-@pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3), ("comm", 2, 4)])
-def test_frac_vs_exact_updates_agree(name, r, s):
-    frac = run(name, r, s, frac_updates=True)
-    exact = run(name, r, s, frac_updates=False)
-    assert frac.core_dict() == exact.core_dict()
-
-
 def test_combined_optimizations():
     """The paper's overall-best setting: two-level contiguous stored-pointer
     T, list buffer, relabeling."""
@@ -138,8 +131,18 @@ def test_invalid_rs():
         (lambda: nucleus_decomposition(np.array([(0, 1), (-1, 2)]), 2, 3), "non-negative.*-1"),
         (lambda: nucleus_decomposition(np.array([0, 1, 2]), 2, 3), r"edges.*\(3,\)"),
         (lambda: nucleus_decomposition(np.array([(0.0, 1.0)]), 2, 3), "edges.*float64"),
+        (lambda: DecompConfig(aggregation="hsh"), "aggregation.*'hsh'"),
+        (lambda: DecompConfig(orientation="degre"), "orientation.*'degre'"),
     ],
-    ids=["counting-typo", "spark-without-session", "negative-id", "1-d-edges", "float-edges"],
+    ids=[
+        "counting-typo",
+        "spark-without-session",
+        "negative-id",
+        "1-d-edges",
+        "float-edges",
+        "aggregation-typo",
+        "orientation-typo",
+    ],
 )
 def test_bad_input_fails_fast(make, match):
     with pytest.raises(ValueError, match=match):

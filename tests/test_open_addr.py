@@ -46,18 +46,22 @@ def test_find_missing_returns_minus_one():
 
 
 def test_multiple_regions_shared_array():
-    capA, capB = capacity_for(3), capacity_for(4)
-    cells = np.full(capA + 1 + capB + 1, EMPTY_BIT, dtype=np.uint64)
-    a_keys = np.array([1, 2, 3], dtype=np.uint64)
-    b_keys = np.array([1, 2, 3, 4], dtype=np.uint64)  # same keys, other region
-    pa = region_insert(cells, 0, capA, a_keys)
-    pb = region_insert(cells, capA + 1, capB, b_keys)
-    assert (pa < capA).all() and (pb >= capA + 1).all()
-    starts = np.array([0] * 3 + [capA + 1] * 4, dtype=np.int64)
-    caps = np.array([capA] * 3 + [capB] * 4, dtype=np.int64)
-    q = np.concatenate([a_keys, b_keys])
-    out = region_find(cells, starts, caps, q)
-    assert np.array_equal(out, np.concatenate([pa, pb]))
+    """One insert call fills several regions; the same keys go to each."""
+    caps = capacity_for(np.array([3, 4, 0, 5]))
+    starts = np.cumsum(caps + 1) - (caps + 1)
+    cells = np.full(int((caps + 1).sum()), EMPTY_BIT, dtype=np.uint64)
+    region = np.array([0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3, 3])
+    keys = np.array([1, 2, 3, 1, 2, 3, 4, 1, 2, 3, 4, 5], dtype=np.uint64)
+    pos = region_insert(cells, starts[region], caps[region], keys)
+    again = np.full_like(cells, EMPTY_BIT)
+    assert np.array_equal(region_insert(again, starts[region], caps[region], keys), pos)
+    assert np.array_equal(again, cells), "positions depend only on the input"
+    assert len(np.unique(pos)) == len(keys)
+    # every key lands inside its own region, never on the barrier cell
+    assert ((pos >= starts[region]) & (pos < starts[region] + caps[region])).all()
+    assert (cells[starts + caps] == EMPTY_BIT).all()
+    assert np.array_equal(cells[pos], keys)
+    assert np.array_equal(region_find(cells, starts[region], caps[region], keys), pos)
 
 
 def test_negative_start_is_not_found():
@@ -71,13 +75,25 @@ def test_negative_start_is_not_found():
     assert out[0] == -1
 
 
+def _one_home(cap: int, count: int) -> np.ndarray:
+    """``count`` distinct keys that all hash to the same cell of a region."""
+    cand = np.arange(200 * cap * count, dtype=np.uint64)
+    home = hash_u64(cand) % np.uint64(cap)
+    return cand[home == home[0]][:count]
+
+
 def test_high_load_probing():
     g = np.random.default_rng(3)
-    keys = np.unique(g.integers(0, 1 << 40, 500).astype(np.uint64))
-    cap = len(keys) + 1  # load just under 1
-    cells = np.full(cap + 1, EMPTY_BIT, dtype=np.uint64)
-    pos = region_insert(cells, 0, cap, keys)
-    out = region_find(
-        cells, np.zeros(len(keys), np.int64), np.full(len(keys), cap), keys
-    )
-    assert np.array_equal(out, pos)
+    spread = np.unique(g.integers(0, 1 << 40, 500).astype(np.uint64))
+    for keys in (spread, _one_home(101, 100)):
+        cap = len(keys) + 1  # load just under 1
+        start = 7
+        cells = np.full(start + cap + 1, EMPTY_BIT, dtype=np.uint64)
+        pos = region_insert(cells, start, cap, keys)
+        assert len(np.unique(pos)) == len(keys)
+        assert ((pos >= start) & (pos < start + cap)).all() and cells[start + cap] == EMPTY_BIT
+        assert np.array_equal(region_find(cells, start, cap, keys), pos)
+    # all keys share one home cell: the lowest-indexed contender claims
+    # each cell and the rest probe on
+    home = int(pos[0]) - start
+    assert np.array_equal(pos, start + (home + np.arange(len(keys))) % cap)

@@ -37,11 +37,3 @@ def test_table_levels_equivalent_random(edges, levels):
     )
     res = nucleus_decomposition(edges, 3, 4, cfg)
     assert res.core_dict() == reference_nucleus(edges, 3, 4)
-
-
-@given(random_edges(max_n=12))
-@settings(max_examples=20, deadline=None)
-def test_frac_updates_equal_exact_random(edges):
-    frac = nucleus_decomposition(edges, 2, 3, DecompConfig(frac_updates=True))
-    exact = nucleus_decomposition(edges, 2, 3, DecompConfig(frac_updates=False))
-    assert frac.core_dict() == exact.core_dict()
