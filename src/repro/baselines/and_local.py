@@ -63,7 +63,7 @@ def and_decomposition(
     vmat, cnts = s_counts_per_r_clique(dg, r, s)
     index = {tuple(row): i for i, row in enumerate(vmat.tolist())}
     n_r = len(vmat)
-    tau = np.rint(cnts).astype(np.int64)
+    tau = cnts
 
     s_mat = np.sort(list_cliques(dg, s), axis=1)
     n_sub = len(list(combinations(range(s), r)))

@@ -37,7 +37,7 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     stats = Stats()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, stats=stats)
     counters.work += stats.intersect_work + stats.cliques_found
-    counts = {tuple(row): int(round(c)) for row, c in zip(vmat.tolist(), cnts.tolist())}
+    counts = dict(zip(map(tuple, vmat.tolist()), cnts.tolist()))
     heap = [(c, k) for k, c in counts.items()]
     heapq.heapify(heap)
     peeled: set[tuple[int, ...]] = set()

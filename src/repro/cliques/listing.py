@@ -23,7 +23,7 @@ import numpy as np
 
 from ..graphs.csr import CSR
 
-__all__ = ["Stats", "list_cliques", "s_counts_per_r_clique", "extend_cliques"]
+__all__ = ["Stats", "list_cliques", "unique_rows", "s_counts_per_r_clique", "extend_cliques"]
 
 
 @dataclass
@@ -52,6 +52,23 @@ def _grow(rows: np.ndarray, expand: CSR, adj: CSR, stats: Stats) -> np.ndarray:
         hit = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
         parent, cand = parent[hit], cand[hit]
     return np.column_stack((rows[parent], cand))
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer matrix, and the group of each input row.
+
+    Returns (uniq, group): the lexicographically sorted distinct rows and,
+    for every input row i, the index ``group[i]`` of its row in ``uniq``.
+    Rows are grouped by a column-wise lexsort, never by packing their ids
+    into one integer, which overflows int64 once n^r > 2^63.
+    """
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    first = np.ones(len(srt), dtype=bool)
+    first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return srt[first], group
 
 
 def list_cliques(
@@ -86,7 +103,7 @@ def s_counts_per_r_clique(
     """s-clique count of every r-clique (COUNT-FUNC of Algorithm 2).
 
     Returns (vmat, counts): the lexicographically sorted (n_r, r) matrix
-    of sorted r-clique rows and the aligned float counts. r-cliques with
+    of sorted r-clique rows and the aligned int64 counts. r-cliques with
     no incident s-clique are included (they form the 0-bucket). With a
     restricted root set (the Spark fan-out), an s-clique rooted here may
     contain r-cliques rooted in other partitions; those rows appear with
@@ -95,15 +112,8 @@ def s_counts_per_r_clique(
     r_mat = np.sort(list_cliques(dg, r, roots=roots, stats=stats), axis=1)
     s_mat = np.sort(list_cliques(dg, s, roots=roots, stats=stats), axis=1)
     subsets = s_mat[:, list(combinations(range(s), r))].reshape(-1, r)
-    # Group equal rows by a column-wise lexsort: packing r vertex ids into
-    # one integer overflows int64 once n^r > 2^63.
-    rows = np.concatenate((r_mat, subsets))
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    counts = np.bincount(np.cumsum(first) - 1, weights=order >= len(r_mat))
-    return rows[first], counts
+    vmat, group = unique_rows(np.concatenate((r_mat, subsets)))
+    return vmat, np.bincount(group[len(r_mat):], minlength=len(vmat))
 
 
 def extend_cliques(

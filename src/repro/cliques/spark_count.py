@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
+from pyspark.sql.types import LongType, StructField, StructType
 
 from ..graphs.csr import CSR
 from .listing import s_counts_per_r_clique
@@ -33,15 +33,12 @@ def spark_s_counts(
     """Distributed s-clique counts per r-clique over the oriented graph.
 
     Returns (vmat, counts): lexicographically sorted (n_r, r) vertex
-    matrix and the aligned float counts — identical to the local kernel
+    matrix and the aligned int64 counts — identical to the local kernel
     ``s_counts_per_r_clique`` (tested equal).
     """
     bc = spark.sparkContext.broadcast((dg.n, dg.offsets, dg.nbrs))
     vcols = [f"v{i}" for i in range(r)]
-    schema = StructType(
-        [StructField(c, LongType()) for c in vcols]
-        + [StructField("cnt", DoubleType())]
-    )
+    schema = StructType([StructField(c, LongType()) for c in vcols + ["cnt"]])
 
     def count_partition(batches):
         n_, offsets, nbrs = bc.value
@@ -62,8 +59,8 @@ def spark_s_counts(
     )
     pdf = agg.toPandas()
     if len(pdf) == 0:
-        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.float64)
+        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.int64)
     vmat = pdf[vcols].to_numpy(dtype=np.int64)
-    cnts = pdf["cnt"].to_numpy(dtype=np.float64)
+    cnts = pdf["cnt"].to_numpy(dtype=np.int64)
     order = np.lexsort(tuple(vmat[:, j] for j in range(r - 1, -1, -1)))
     return vmat[order], cnts[order]

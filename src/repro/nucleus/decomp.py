@@ -10,9 +10,17 @@ Phases:
    each r-clique's identifier is its last-level cell index.
 4. Peel rounds: extract the minimum bucket from the Julienne-style
    bucketing structure, re-list the s-cliques incident to peeled
-   r-cliques (UPDATE), subtract 1/a per discovery (UPDATE-FUNC's
-   over-counting guard), aggregate the updated set U with the chosen
-   §5.5 structure, and re-bucket.
+   r-cliques (UPDATE), decrement counts (UPDATE-FUNC), aggregate the
+   updated set U with the chosen §5.5 structure, and re-bucket.
+
+UPDATE lists an s-clique once for each of its a r-cliques peeled this
+round. Alg 2 lets every discovery subtract 1/a, so parallel threads need
+not dedupe. On the driver the round's s-cliques are deduped instead,
+before the table lookup, and every unpeeled member of each s-clique that
+has no member peeled in an earlier round loses exactly 1: the same
+decrement as a discoveries x 1/a, in integers, with each s-clique's
+C(s, r) r-subsets looked up once. ``Counters`` still charges a lookup
+per discovery and r-subset, the cost of the paper's algorithm.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -31,7 +39,7 @@ import numpy as np
 
 from ..aggregation import AGGREGATIONS, make_aggregator
 from ..bucketing import Bucketing
-from ..cliques.listing import Stats, extend_cliques, s_counts_per_r_clique
+from ..cliques.listing import Stats, extend_cliques, s_counts_per_r_clique, unique_rows
 from ..graphs.csr import CSR, build_csr, orient_csr
 from ..graphs.orient import ORIENTATIONS, make_rank, relabel
 from ..instrument import Counters
@@ -53,6 +61,9 @@ class DecompConfig:
     num_open_buckets: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("spark_slices", "num_open_buckets"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"DecompConfig.{name} must be >= 1, got {getattr(self, name)!r}")
         if self.counting not in ("local", "spark"):
             raise ValueError(f"DecompConfig.counting must be 'local' or 'spark', got {self.counting!r}")
         if self.orientation not in ORIENTATIONS:
@@ -129,14 +140,12 @@ def nucleus_decomposition(
 
     table = make_table(vmat, n_verts, config.table)
     idx_rows = table.row_indices()
-    counts = np.zeros(table.capacity, dtype=np.float64)
+    counts = np.zeros(table.capacity, dtype=np.int64)
     counts[idx_rows] = cnts
     core = np.zeros(table.capacity, dtype=np.int64)
     peeled = np.full(table.capacity, -1, dtype=np.int64)
 
-    buckets = Bucketing(
-        idx_rows, np.rint(cnts).astype(np.int64), num_open=config.num_open_buckets
-    )
+    buckets = Bucketing(idx_rows, cnts, num_open=config.num_open_buckets)
     agg = make_aggregator(config.aggregation, table.capacity)
     log2n = log2(max(2, n_verts))
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
@@ -174,23 +183,20 @@ def nucleus_decomposition(
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):
-            flat = s_mat[:, subs_cols].reshape(-1, r)
-            idxs = table.lookup(flat).reshape(len(s_mat), len(subs_cols))
+            s_uniq, _ = unique_rows(s_mat)
+            flat = s_uniq[:, subs_cols].reshape(-1, r)
+            idxs = table.lookup(flat).reshape(len(s_uniq), len(subs_cols))
             st = peeled[idxs]
-            prev = (st >= 0) & (st < round_no)
-            valid = ~prev.any(axis=1)
-            in_a = (st == round_no) & valid[:, None]
-            unpeeled = (st == -1) & valid[:, None]
-            a = in_a.sum(axis=1)
-            rows_i, cols_i = np.nonzero(unpeeled)
-            tgt = idxs[rows_i, cols_i]
-            np.subtract.at(counts, tgt, 1.0 / np.maximum(a[rows_i], 1))
-            if len(tgt):
-                agg.record(tgt)
-            counters.work += idxs.size
+            valid = ~((st >= 0) & (st < round_no)).any(axis=1)
+            tgt = idxs[valid][st[valid] == -1]
+            u, c = np.unique(tgt, return_counts=True)
+            counts[u] -= c
+            if len(u):
+                agg.record(u)
+            counters.work += len(s_mat) * len(subs_cols)
 
         u_ids = agg.drain()
-        buckets.update(u_ids, np.rint(counts[u_ids]).astype(np.int64))
+        buckets.update(u_ids, counts[u_ids])
         counters.work += len(u_ids)
 
         if do_contract:

@@ -133,6 +133,9 @@ def test_invalid_rs():
         (lambda: nucleus_decomposition(np.array([(0.0, 1.0)]), 2, 3), "edges.*float64"),
         (lambda: DecompConfig(aggregation="hsh"), "aggregation.*'hsh'"),
         (lambda: DecompConfig(orientation="degre"), "orientation.*'degre'"),
+        (lambda: DecompConfig(num_open_buckets=0), "num_open_buckets.*>= 1.*0"),
+        (lambda: DecompConfig(num_open_buckets=-3), "num_open_buckets.*>= 1.*-3"),
+        (lambda: DecompConfig(spark_slices=0), "spark_slices.*>= 1.*0"),
     ],
     ids=[
         "counting-typo",
@@ -142,6 +145,9 @@ def test_invalid_rs():
         "float-edges",
         "aggregation-typo",
         "orientation-typo",
+        "zero-open-buckets",
+        "negative-open-buckets",
+        "zero-spark-slices",
     ],
 )
 def test_bad_input_fails_fast(make, match):
@@ -155,6 +161,25 @@ def test_counters_populated():
     assert c.work > 0 and c.span_logs > 0 and c.rounds == res.rho
     assert c.scliques_discovered > 0
     assert c.wall_seconds > 0
+
+
+@pytest.mark.parametrize(
+    "name,r,s,agg,want",
+    [
+        ("fig1", 3, 4, "list-buffer", dict(work=293.0, span_logs=28.073549220576048, serialized_ops=0.0, rounds=3, scliques_discovered=24)),
+        ("er30", 2, 4, "array", dict(work=4789.0, span_logs=137.3929366770385, serialized_ops=91.0, rounds=8, scliques_discovered=204)),
+        ("comm", 3, 5, "hash", dict(work=4382.0, span_logs=64.18947501009619, serialized_ops=0.0, rounds=3, scliques_discovered=220)),
+    ],
+    ids=["fig1-3-4", "er30-2-4-array", "comm-3-5-hash"],
+)
+def test_counters_pinned(name, r, s, agg, want):
+    """The cost model charges Alg 2's work: one table lookup per discovery
+    and r-subset, although the peel loop looks up each distinct s-clique of
+    a round once. Rounds peel several r-cliques of one s-clique here."""
+    res = run(name, r, s, aggregation=agg)
+    got = {k: getattr(res.counters, k) for k in want}
+    assert got == pytest.approx(want, rel=1e-12)
+    assert res.rho == want["rounds"]
 
 
 def test_k_cores_match_classic_peeling():

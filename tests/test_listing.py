@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro.cliques.listing import Stats, extend_cliques, list_cliques, s_counts_per_r_clique
+from repro.cliques.listing import Stats, extend_cliques, list_cliques, s_counts_per_r_clique, unique_rows
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import make_rank
 from repro.nucleus.reference import brute_force_cliques
@@ -149,3 +149,12 @@ def test_roots_partition_counts():
     whole = np.concatenate(parts)
     assert len(whole) == len(list_cliques(dg, 3))
     assert clique_set(whole) == set(brute_force_cliques(und, 3))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 2), (200, 3), (500, 5)])
+def test_unique_rows(shape):
+    """Distinct rows in lexicographic order, each input row mapped to its own."""
+    rows = np.random.default_rng(shape[0]).integers(0, 4, size=shape) + (1 << 40)
+    uniq, group = unique_rows(rows)
+    assert np.array_equal(uniq, np.unique(rows, axis=0))
+    assert np.array_equal(uniq[group], rows) and group.dtype == np.int64

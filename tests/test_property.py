@@ -21,7 +21,7 @@ def random_edges(draw, max_n=14):
     return np.stack([iu[mask], iv[mask]], axis=1)
 
 
-@given(random_edges(), st.sampled_from([(2, 3), (3, 4), (2, 4), (1, 2)]))
+@given(random_edges(), st.sampled_from([(2, 3), (3, 4), (2, 4), (1, 2), (2, 5), (3, 5)]))
 @settings(max_examples=40, deadline=None)
 def test_decomp_matches_reference_random(edges, rs):
     r, s = rs

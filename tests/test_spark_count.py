@@ -27,6 +27,7 @@ def test_spark_counts_match_local_fig1(spark, r, s):
     vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=4)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+    assert cnts.dtype == local_cnts.dtype == np.int64
 
 
 def test_spark_counts_match_local_rmat(spark):
@@ -34,6 +35,7 @@ def test_spark_counts_match_local_rmat(spark):
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, 2, 3)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+    assert cnts.dtype == local_cnts.dtype == np.int64
 
 
 def test_spark_triangle_counts_vs_duckdb_oracle(spark):
@@ -41,7 +43,7 @@ def test_spark_triangle_counts_vs_duckdb_oracle(spark):
     self-join over the symmetric arc list."""
     und, dg = _dg(rmat(8, 900, seed=23))
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
-    got = spark.createDataFrame(pd.DataFrame({"u": vmat[:, 0], "v": vmat[:, 1], "cnt": cnts.astype(np.int64)}))
+    got = spark.createDataFrame(pd.DataFrame({"u": vmat[:, 0], "v": vmat[:, 1], "cnt": cnts}))
     src = np.repeat(np.arange(und.n), und.degrees())
     arcs = pd.DataFrame({"u": src, "v": und.nbrs})
     assert_equivalent(
@@ -70,4 +72,4 @@ def test_spark_counts_empty_graph(spark):
     dg = orient_csr(und, np.arange(4))
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=2)
     # two disjoint edges: both are 2-cliques with zero incident triangles
-    assert len(vmat) == 2 and (cnts == 0).all()
+    assert len(vmat) == 2 and (cnts == 0).all() and cnts.dtype == np.int64
