@@ -39,8 +39,9 @@ class _BaseU:
         self._parts = []
 
     def record(self, ids: np.ndarray) -> None:
-        """Register ids whose count changed (duplicates allowed)."""
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        """Register ids whose count changed; the ids of one call must be
+        distinct (the peel loop passes ``np.unique`` output)."""
+        ids = np.asarray(ids, dtype=np.int64)
         fresh = ids[self.stamp[ids] != self.round]
         self.stamp[fresh] = self.round
         if len(fresh):

@@ -62,9 +62,7 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
         flat = tri_e.ravel()
         torder = np.argsort(flat, kind="stable")
         tids = np.repeat(np.arange(len(tri)), 3)[torder]
-        toff = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(toff, flat + 1, 1)
-        toff = np.cumsum(toff)
+        toff = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
     sublevels = 0
     remaining = m
     k = 0

@@ -36,13 +36,12 @@ def spark_s_counts(
     matrix and the aligned int64 counts — identical to the local kernel
     ``s_counts_per_r_clique`` (tested equal).
     """
-    bc = spark.sparkContext.broadcast((dg.n, dg.offsets, dg.nbrs))
+    bc = spark.sparkContext.broadcast(dg)
     vcols = [f"v{i}" for i in range(r)]
     schema = StructType([StructField(c, LongType()) for c in vcols + ["cnt"]])
 
     def count_partition(batches):
-        n_, offsets, nbrs = bc.value
-        csr = CSR(n_, offsets, nbrs)
+        csr = bc.value
         for pdf in batches:
             vmat, cnts = s_counts_per_r_clique(csr, r, s, roots=pdf["v"].to_numpy())
             out = pd.DataFrame(vmat, columns=vcols)

@@ -8,7 +8,6 @@ as the parallel hash-table intersection used in the analysis).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +21,9 @@ class CSR:
     n: int
     offsets: np.ndarray  # int64, len n+1
     nbrs: np.ndarray  # int64, len = sum of degrees
+    # Packed arc keys u*n + v in ascending order (rows grouped by u and
+    # sorted by v), aligned with nbrs, so testing an arc is one binary search.
+    arc_keys: np.ndarray
 
     @property
     def m(self) -> int:
@@ -37,40 +39,35 @@ class CSR:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @cached_property
-    def arc_keys(self) -> np.ndarray:
-        """Packed arc keys u*n + v in ascending order (rows are grouped by u
-        and sorted by v), so testing an arc is one binary search."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        return src * self.n + self.nbrs
+    def subgraph(self, keep: np.ndarray, src: np.ndarray) -> CSR:
+        """The CSR of the arcs selected by the boolean mask ``keep``;
+        ``src`` is the source vertex of every arc."""
+        counts = np.bincount(src[keep], minlength=self.n)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return CSR(self.n, offsets, self.nbrs[keep], self.arc_keys[keep])
 
 
 def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
     """Build a symmetric CSR from an (m, 2) undirected edge array.
 
     Self loops and duplicate edges are dropped; each edge contributes an
-    arc in both directions; neighbour lists are sorted ascending.
+    arc in both directions; neighbour lists are sorted ascending. ``n``
+    must exceed every vertex id.
     """
     edges = np.asarray(edges, dtype=np.int64)
+    top = int(edges.max()) if len(edges) else -1
     if n is None:
-        n = int(edges.max()) + 1 if len(edges) else 0
-    if len(edges) == 0:
-        return CSR(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-    u = np.minimum(edges[:, 0], edges[:, 1])
-    v = np.maximum(edges[:, 0], edges[:, 1])
+        n = top + 1
+    elif n <= top:
+        raise ValueError(f"n={n} must exceed the largest vertex id {top}")
+    u, v = edges[:, 0], edges[:, 1]
     keep = u != v
     u, v = u[keep], v[keep]
-    key = u * n + v
-    uniq = np.unique(key)
-    u, v = uniq // n, uniq % n
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return CSR(n, offsets, dst)
+    # One sort of both directions' packed keys orders the arcs by (source,
+    # target) and drops duplicate edges.
+    keys = np.unique(np.concatenate((u * n + v, v * n + u)))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    return CSR(n, offsets, keys % n, keys)
 
 
 def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
@@ -80,11 +77,5 @@ def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
     Goodrich-Pszona ordering, out-degrees are O(alpha). Neighbour lists
     stay sorted by vertex id so intersections remain merge-based.
     """
-    n = csr.n
-    src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
-    keep = rank[src] < rank[csr.nbrs]
-    src, dst = src[keep], csr.nbrs[keep]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return CSR(n, offsets, dst)
+    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
+    return csr.subgraph(rank[src] < rank[csr.nbrs], src)

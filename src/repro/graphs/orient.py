@@ -3,12 +3,20 @@
 Three orderings are provided, mirroring the options in Shi et al. [60]:
 
 * ``degree_order``   — order by (degree, id); the cheap heuristic.
-* ``degeneracy_order`` — exact minimum-degree peeling (k-core order);
-  out-degree bounded by the degeneracy d <= 2*alpha - 1.
+* ``degeneracy_order`` — Julienne's k-core order (Dhulipala, Blelloch,
+  Shun, SPAA 2017), as in Shi et al.'s parallel clique counting: each
+  round removes every live vertex of live degree <= k at once, where k is
+  the running maximum of the minimum live degree. It returns the exact
+  degeneracy d <= 2*alpha - 1 and bounds every out-degree by d; ties
+  inside a round are broken by (degree, id), so the order is not the
+  one-vertex-at-a-time minimum-degree order.
 * ``goodrich_pszona_order`` — round-based: repeatedly remove the
   epsilon-fraction of lowest-degree vertices; O(log n) rounds, constant-
   factor approximation of the degeneracy ordering (the parallel-friendly
   variant analysed in the paper).
+
+Both peeling orders share one round loop whose neighbour decrement is one
+gather and one ``np.bincount`` per round.
 
 ``relabel`` renames vertices by orientation rank (§5.4 graph
 relabeling), so clique vertices are discovered in increasing label order
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSR, build_csr
+from .csr import CSR
 
 __all__ = [
     "degree_order",
@@ -27,7 +35,6 @@ __all__ = [
     "make_rank",
     "ORIENTATIONS",
     "relabel",
-    "degeneracy",
 ]
 
 
@@ -39,62 +46,67 @@ def degree_order(csr: CSR) -> np.ndarray:
     return rank
 
 
-def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
-    """Exact degeneracy (min-degree peeling) order; returns (rank, degeneracy)."""
+def _removed_neighbour_counts(csr: CSR, out: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """For every vertex, how many of the just-removed vertices ``out`` it
+    neighbours, counting live vertices only (``alive`` already excludes
+    ``out``). One gather over the removed vertices' lists and one bincount."""
+    starts = csr.offsets[out]
+    lens = csr.offsets[out + 1] - starts
+    nb = csr.nbrs[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
+    return np.bincount(nb[alive[nb]], minlength=csr.n)
+
+
+def _peel_in_rounds(csr: CSR, pick) -> tuple[np.ndarray, int]:
+    """Round-based peeling shared by both peeling orders.
+
+    Each round, ``pick(degrees, k)`` selects the live vertices to remove
+    from their live degrees (in id order) and k, the running maximum of
+    the minimum live degree. The removed vertices get the next
+    consecutive ranks in (degree, id) order, and each live neighbour
+    loses one degree per removed neighbour. Returns (rank, final k).
+    """
     n = csr.n
-    deg = csr.degrees().copy()
-    rank = np.full(n, -1, dtype=np.int64)
-    # Bucket queue over degrees.
-    maxd = int(deg.max()) if n else 0
-    buckets: list[list[int]] = [[] for _ in range(maxd + 1)]
-    for v in range(n):
-        buckets[deg[v]].append(v)
-    degeneracy_val = 0
-    cur = 0
+    deg = csr.degrees().astype(np.int64)
+    alive = np.ones(n, dtype=bool)
+    rank = np.empty(n, dtype=np.int64)
+    live = np.arange(n, dtype=np.int64)
     pos = 0
-    while pos < n:
-        while cur <= maxd and not buckets[cur]:
-            cur += 1
-        v = buckets[cur].pop()
-        if rank[v] != -1 or deg[v] != cur:
-            # stale entry (degree decreased since enqueue)
-            if rank[v] == -1 and deg[v] < cur:
-                buckets[deg[v]].append(v)
-                cur = deg[v]
-            continue
-        rank[v] = pos
-        pos += 1
-        degeneracy_val = max(degeneracy_val, cur)
-        for w in csr.neighbors(v):
-            if rank[w] == -1:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-                if deg[w] < cur:
-                    cur = deg[w]
-    return rank, degeneracy_val
+    k = 0
+    while len(live):
+        d = deg[live]
+        k = max(k, int(d.min()))
+        sel = pick(d, k)
+        out = live[sel][np.argsort(d[sel], kind="stable")]
+        live = live[~sel]
+        rank[out] = pos + np.arange(len(out))
+        pos += len(out)
+        alive[out] = False
+        deg -= _removed_neighbour_counts(csr, out, alive)
+    return rank, k
+
+
+def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
+    """k-core order in rounds (Julienne); returns (rank, degeneracy).
+
+    Each round removes every live vertex whose live degree is at most k,
+    the running maximum of the minimum live degree. The final k is the
+    degeneracy d, and each vertex has at most d neighbours ranked after
+    it: they were all live, and so counted in its degree, when it left.
+    """
+    return _peel_in_rounds(csr, lambda d, k: d <= k)
 
 
 def goodrich_pszona_order(csr: CSR, *, eps: float = 1.0) -> np.ndarray:
     """Round-based peeling: each round removes the lowest-degree
     n_live * eps / (1 + eps) vertices (at least 1). O(log n) rounds."""
-    n = csr.n
-    deg = csr.degrees().astype(np.int64).copy()
-    alive = np.ones(n, dtype=bool)
-    rank = np.empty(n, dtype=np.int64)
-    pos = 0
     frac = eps / (1.0 + eps)
-    while alive.any():
-        live = np.flatnonzero(alive)
-        k = max(1, int(len(live) * frac))
-        order = live[np.lexsort((live, deg[live]))][:k]
-        rank[order] = pos + np.arange(len(order))
-        pos += len(order)
-        alive[order] = False
-        # decrement degrees of remaining neighbours
-        for v in order:
-            nb = csr.neighbors(v)
-            deg[nb[alive[nb]]] -= 1
-    return rank
+
+    def lowest(d: np.ndarray, k: int) -> np.ndarray:
+        sel = np.zeros(len(d), dtype=bool)
+        sel[np.argsort(d, kind="stable")[: max(1, int(len(d) * frac))]] = True
+        return sel
+
+    return _peel_in_rounds(csr, lowest)[0]
 
 
 _RANKS = {
@@ -110,10 +122,6 @@ def make_rank(csr: CSR, kind: str = "degeneracy") -> np.ndarray:
     if kind not in _RANKS:
         raise ValueError(f"unknown orientation kind {kind!r}; expected one of {ORIENTATIONS}")
     return _RANKS[kind](csr)
-
-
-def degeneracy(csr: CSR) -> int:
-    return degeneracy_order(csr)[1]
 
 
 def relabel(edges: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

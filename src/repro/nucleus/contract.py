@@ -24,7 +24,7 @@ class ContractionState:
 
     def note_peeled_edges(self, rows: np.ndarray) -> None:
         """rows: (k, 2) peeled edge endpoints."""
-        np.add.at(self.lost_since, rows.ravel(), 1)
+        self.lost_since += np.bincount(rows.ravel(), minlength=len(self.lost_since))
         self.peeled_since += len(rows)
 
 
@@ -51,12 +51,9 @@ def maybe_contract(
     )
     keep = np.ones(len(und.nbrs), dtype=bool)
     keep[cand[edge_peeled(rows)]] = False
-    new_src, new_nbrs = src[keep], und.nbrs[keep]
-    offsets = np.zeros(und.n + 1, dtype=np.int64)
-    np.add.at(offsets, new_src + 1, 1)
-    offsets = np.cumsum(offsets)
+    out = und.subgraph(keep, src)
     state.contractions += 1
     state.peeled_since = 0
-    state.deg_ref = np.diff(offsets)
+    state.deg_ref = out.degrees()
     state.lost_since[:] = 0
-    return CSR(und.n, offsets, new_nbrs)
+    return out
